@@ -233,3 +233,31 @@ func TestLoadRejectsEmptyDir(t *testing.T) {
 		t.Fatalf("error %v does not wrap ErrNoGoFiles", err)
 	}
 }
+
+// TestLoadHonoursBuildConstraints checks that the loader, like the go
+// command, skips files excluded by a build constraint or a _GOOS file
+// suffix: a package with per-platform variants of one declaration must
+// type-check cleanly.
+func TestLoadHonoursBuildConstraints(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"a.go":       "package x\n\nvar V = 1\n",
+		"b_never.go": "//go:build never\n\npackage x\n\nvar V = 2\n",
+		"c_plan9.go": "package x\n\nvar V = 3\n",
+	}
+	for name, src := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pkg, err := NewLoader().Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkg.Files) != 1 {
+		t.Errorf("loaded %d files, want only a.go", len(pkg.Files))
+	}
+	if len(pkg.TypeErrors) != 0 {
+		t.Errorf("type errors: %v", pkg.TypeErrors)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -162,6 +163,13 @@ func (l *Loader) Load(dir string) (*Package, error) {
 	for _, e := range entries {
 		n := e.Name()
 		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasSuffix(n, "_test.go") {
+			continue
+		}
+		// Honour build constraints and _GOOS/_GOARCH suffixes, as the go
+		// command does: per-architecture files declare the same names.
+		if ok, err := build.Default.MatchFile(dir, n); err != nil {
+			return nil, fmt.Errorf("lint: %w", err)
+		} else if !ok {
 			continue
 		}
 		names = append(names, n)

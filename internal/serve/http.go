@@ -192,11 +192,20 @@ func (s *Server) toTensor(instances [][]float64) (*tensor.Tensor, error) {
 	return tensor.FromSlice(flat, len(instances), c, h, wd), nil
 }
 
-// writeJSON encodes v with the given status code.
+// writeJSON encodes v and writes it with the given status code. The body
+// is encoded before the header goes out, so a value JSON cannot represent
+// (a non-finite probability under ?probs=1) becomes a typed 500
+// ErrorResponse rather than a success status with an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		// ErrorResponse holds only strings, so it always encodes.
+		body, _ = json.Marshal(ErrorResponse{Error: "encoding response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(append(body, '\n'))
 }
 
 // writeError encodes a typed error reply.

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -68,6 +69,37 @@ func TestHTTPPredictOK(t *testing.T) {
 	doJSON(t, h, http.MethodPost, "/predict", twoInstances, &bare)
 	if _, ok := bare["probs"]; ok {
 		t.Fatal("probs present without ?probs=1")
+	}
+}
+
+// TestHTTPPredictUnencodableProbs is the regression test for replies
+// JSON cannot represent: with ?probs=1 a non-finite mean probability used
+// to produce a 200 status line with an empty body, because the header
+// went out before the encoder failed. It must now be a typed 500.
+func TestHTTPPredictUnencodableProbs(t *testing.T) {
+	chaos.Reset()
+	defer chaos.Reset()
+	members := fiveMembers()
+	for i := range members {
+		members[i].Clf = stubClf{row: []float64{math.NaN(), 0.5, 0.25}}
+	}
+	s, err := New(members, 3, Options{Clock: chaos.NewFake(), Input: [3]int{1, 2, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	var fail ErrorResponse
+	rec := doJSON(t, h, http.MethodPost, "/predict?probs=1", twoInstances, &fail)
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status = %d, want 500; body %q", rec.Code, rec.Body.String())
+	}
+	if !strings.Contains(fail.Error, "encoding response") {
+		t.Fatalf("error = %q, want an encoding failure", fail.Error)
+	}
+	// Without ?probs=1 the reply holds only class indices and encodes.
+	var ok PredictResponse
+	if rec := doJSON(t, h, http.MethodPost, "/predict", twoInstances, &ok); rec.Code != http.StatusOK {
+		t.Fatalf("status without probs = %d, body %q", rec.Code, rec.Body.String())
 	}
 }
 
