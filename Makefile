@@ -1,6 +1,6 @@
 # Convenience targets for the TDFM reproduction.
 
-.PHONY: build test test-race chaos serve-chaos swap-chaos grid-chaos bench bench-serve bench-mem bench-parallel repro examples vet vet-docs lint fmt clean
+.PHONY: build test test-race chaos serve-chaos swap-chaos grid-chaos fuzz bench bench-serve bench-mem bench-parallel repro examples vet vet-docs lint fmt clean
 
 # Worker-pool size for bench-parallel (the serial leg always runs at 1).
 WORKERS ?= 4
@@ -77,6 +77,19 @@ ifdef SHORT
 else
 	go test -race -count=1 -timeout 30m ./internal/dist/
 endif
+
+# Fuzz smoke: run every native fuzz target (a func Fuzz… in a _test.go
+# file of this module) for FUZZTIME each; go test fuzzes one target per
+# invocation. Their committed seed corpora (testdata/fuzz) also run as
+# plain tests under `go test ./...`.
+FUZZTIME ?= 10s
+fuzz:
+	@for dir in $$(go list -f '{{.Dir}}' ./...); do \
+	    for name in $$(grep -ho '^func Fuzz[A-Za-z0-9_]*' $$dir/*_test.go 2>/dev/null | cut -d' ' -f2); do \
+	        echo "== $$name ($$dir)"; \
+	        go test -run '^$$' -fuzz "^$$name\$$" -fuzztime $(FUZZTIME) $$dir || exit 1; \
+	    done; \
+	done
 
 # Full benchmark suite: regenerates every table/figure once (tiny scale).
 bench:

@@ -26,7 +26,9 @@ func (c *Coordinator) Handler() http.Handler {
 // body, call the coordinator method, encode the reply. Method errors
 // (chaos-injected outages included) answer 500, which HTTPTransport
 // surfaces as ErrCoordinatorUnreachable — exactly what a worker should
-// see from a sick coordinator.
+// see from a sick coordinator. The reply is encoded before the header
+// goes out, so one JSON cannot represent (a non-finite float) answers
+// 500 too, rather than a 200 with a truncated body.
 func handle[Req, Rep any](mux *http.ServeMux, path string, fn func(Req) (Rep, error)) {
 	mux.HandleFunc("POST "+path, func(w http.ResponseWriter, r *http.Request) {
 		var req Req
@@ -39,8 +41,13 @@ func handle[Req, Rep any](mux *http.ServeMux, path string, fn func(Req) (Rep, er
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
+		body, err := json.Marshal(rep)
+		if err != nil {
+			http.Error(w, fmt.Sprintf("dist: encoding %s reply: %v", path, err), http.StatusInternalServerError)
+			return
+		}
 		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(rep)
+		_, _ = w.Write(append(body, '\n'))
 	})
 }
 

@@ -9,6 +9,7 @@ package dist
 import (
 	"context"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -109,5 +110,25 @@ func TestHTTPBadRequest(t *testing.T) {
 	}
 	if c.Stats().Workers != 0 {
 		t.Fatal("malformed request reached the coordinator")
+	}
+}
+
+// TestHandleUnencodableReply is the regression test for replies JSON
+// cannot represent: handle used to send the 200 header and then fail
+// inside the encoder, leaving the worker a success status with a
+// truncated body. It must answer 500 and say why.
+func TestHandleUnencodableReply(t *testing.T) {
+	type reply struct {
+		Score float64 `json:"score"`
+	}
+	mux := http.NewServeMux()
+	handle(mux, "/score", func(struct{}) (reply, error) { return reply{Score: math.NaN()}, nil })
+	rec := httptest.NewRecorder()
+	mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/score", strings.NewReader("{}")))
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("unencodable reply answered %d %q, want 500", rec.Code, rec.Body.String())
+	}
+	if body := rec.Body.String(); !strings.Contains(body, "encoding /score reply") {
+		t.Fatalf("body %q does not name the encoding failure", body)
 	}
 }

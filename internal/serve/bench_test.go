@@ -16,16 +16,26 @@ package serve
 //     server whose cap is B, including admission, the batcher's
 //     submit/reply hops, and per-request demux.
 //
+//   - http/predict: the per-request rows again, but each request is a
+//     pre-encoded POST /predict body served by Hot.Handler() into an
+//     httptest.ResponseRecorder — the body decode and the reply encode
+//     in process, with no socket.
+//
 // The gated TestEmitServeBenchJSON runs the grid through
 // testing.Benchmark and writes the trajectory to TDFM_BENCH_OUT (the
 // committed BENCH_serve.json baseline; see `make bench-serve`).
 // TDFM_BENCH_SHORT=1 trims the grid for CI.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"runtime"
+	"runtime/debug"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -216,6 +226,49 @@ func benchPredict(b *testing.B, flavour string, reqs, batchCap int, arena bool) 
 	s.Drain()
 }
 
+// benchHTTPPredict is benchPredict's per-request case through the HTTP
+// front: reqs concurrent one-row POST /predict requests per iteration,
+// each served by Hot.Handler() into an httptest.ResponseRecorder. The
+// bodies are json.Marshal-ed once up front, as a client holding its
+// rows would send them.
+func benchHTTPPredict(b *testing.B, reqs int) {
+	s, err := New(benchMembers(b, "convnet", false), benchClasses, Options{
+		QueueCapacity: reqs + 1,
+		Input:         [3]int{benchC, benchHW, benchHW},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := NewHot(s).Handler()
+	full := benchInput(reqs)
+	bodies := make([][]byte, reqs)
+	for i := range bodies {
+		req := PredictRequest{Instances: [][]float64{full.SliceRows(i, i+1).Data()}}
+		if bodies[i], err = json.Marshal(req); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var wg sync.WaitGroup
+		for j := 0; j < reqs; j++ {
+			wg.Add(1)
+			go func(body []byte) {
+				defer wg.Done()
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/predict", bytes.NewReader(body)))
+				if rec.Code != http.StatusOK {
+					b.Errorf("POST /predict = %d: %s", rec.Code, rec.Body.String())
+				}
+			}(bodies[j])
+		}
+		wg.Wait()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.N*reqs)/b.Elapsed().Seconds(), "req/s")
+	s.Drain()
+}
+
 // benchPredictPrecision measures the batched predict path through
 // real core members at the given serving precision. The f32-versus-f64
 // comparison is run with pooling disabled so the B/op column reflects
@@ -280,6 +333,8 @@ func BenchmarkPredict(b *testing.B) {
 		reqs := reqs
 		b.Run(fmt.Sprintf("convnet/single/b=%d", reqs),
 			func(b *testing.B) { benchPredict(b, "convnet", reqs, 0, false) })
+		b.Run(fmt.Sprintf("convnet/http/b=%d", reqs),
+			func(b *testing.B) { benchHTTPPredict(b, reqs) })
 		cap := reqs
 		if cap < 2 {
 			cap = 2 // a cap of 1 disables batching; lone requests flush on the window
@@ -334,9 +389,40 @@ type benchRecord struct {
 type benchFile struct {
 	Suite      string             `json:"suite"`
 	Go         string             `json:"go"`
+	Host       string             `json:"host,omitempty"`
 	MaxProcs   int                `json:"maxprocs"`
 	Benchmarks []benchRecord      `json:"benchmarks"`
 	Speedups   map[string]float64 `json:"speedups"`
+}
+
+// benchHost identifies the measuring machine for the committed rows, in
+// the form BENCH_tensor.json uses. avx2 is the CPU flag from
+// /proc/cpuinfo, the capability the tensor package's kernel probe
+// selects on.
+func benchHost() string {
+	model, avx2 := "unknown", false
+	if data, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, line := range strings.Split(string(data), "\n") {
+			k, v, _ := strings.Cut(line, ":")
+			switch strings.TrimSpace(k) {
+			case "model name":
+				if model == "unknown" {
+					model = strings.TrimSpace(v)
+				}
+			case "flags":
+				avx2 = avx2 || strings.Contains(" "+v+" ", " avx2 ")
+			}
+		}
+	}
+	amd64 := "unset"
+	if info, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range info.Settings {
+			if s.Key == "GOAMD64" {
+				amd64 = s.Value
+			}
+		}
+	}
+	return fmt.Sprintf("cpu=%q NumCPU=%d GOAMD64=%s avx2=%v", model, runtime.NumCPU(), amd64, avx2)
 }
 
 // benchReps is how many times each record reruns testing.Benchmark; the
@@ -404,6 +490,7 @@ func TestEmitServeBenchJSON(t *testing.T) {
 	f := benchFile{
 		Suite:    "serve-dispatch",
 		Go:       runtime.Version() + " " + runtime.GOOS + "/" + runtime.GOARCH,
+		Host:     benchHost(),
 		MaxProcs: runtime.GOMAXPROCS(0),
 		Speedups: map[string]float64{},
 	}
@@ -433,6 +520,14 @@ func TestEmitServeBenchJSON(t *testing.T) {
 		batched := measure(fmt.Sprintf("predict/convnet/batched/b=%d", reqs), reqs,
 			func(b *testing.B) { benchPredict(b, "convnet", reqs, cap, false) })
 		add("predict_convnet", single, batched, reqs)
+		if reqs == 1 || reqs == 8 {
+			// The same per-request path through the HTTP front: the ratio
+			// is what the body decode and the reply encode add.
+			wire := measure(fmt.Sprintf("http/predict/convnet/b=%d", reqs), reqs,
+				func(b *testing.B) { benchHTTPPredict(b, reqs) })
+			f.Benchmarks = append(f.Benchmarks, wire)
+			f.Speedups[fmt.Sprintf("predict_convnet_http_vs_single_b%d", reqs)] = wire.NsPerRow / single.NsPerRow
+		}
 	}
 
 	// Memory rows. The pooled/unpooled pair tracks what buffer pooling

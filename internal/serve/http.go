@@ -99,12 +99,8 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"), "")
 		return
 	}
-	var req PredictRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding body: %v", err), "")
-		return
-	}
-	x, err := s.toTensor(req.Instances)
+	body, readErr := readBody(r.Body, r.ContentLength)
+	x, err := s.decodePredict(body, readErr)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err, "")
 		return

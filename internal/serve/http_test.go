@@ -110,11 +110,15 @@ func TestHTTPPredictBadRequests(t *testing.T) {
 	cases := []struct {
 		name, method, body string
 		want               int
+		wantErr            string
 	}{
-		{"malformed json", http.MethodPost, `{"instances": [[0,0`, http.StatusBadRequest},
-		{"wrong instance length", http.MethodPost, `{"instances": [[1,2,3]]}`, http.StatusBadRequest},
-		{"empty batch", http.MethodPost, `{"instances": []}`, http.StatusBadRequest},
-		{"wrong method", http.MethodGet, "", http.StatusMethodNotAllowed},
+		{"malformed json", http.MethodPost, `{"instances": [[0,0`, http.StatusBadRequest,
+			"decoding body: unexpected EOF"},
+		{"wrong instance length", http.MethodPost, `{"instances": [[1,2,3]]}`, http.StatusBadRequest,
+			"instance 0 has 3 values, want 4 (channels 1 × height 2 × width 2)"},
+		{"empty batch", http.MethodPost, `{"instances": []}`, http.StatusBadRequest,
+			"no instances in request"},
+		{"wrong method", http.MethodGet, "", http.StatusMethodNotAllowed, "use POST"},
 	}
 	for _, c := range cases {
 		var resp ErrorResponse
@@ -122,8 +126,8 @@ func TestHTTPPredictBadRequests(t *testing.T) {
 		if rec.Code != c.want {
 			t.Fatalf("%s: status = %d, want %d (body %s)", c.name, rec.Code, c.want, rec.Body.String())
 		}
-		if resp.Error == "" {
-			t.Fatalf("%s: empty error message", c.name)
+		if resp.Error != c.wantErr {
+			t.Fatalf("%s: error %q, want %q", c.name, resp.Error, c.wantErr)
 		}
 	}
 }
