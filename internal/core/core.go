@@ -110,6 +110,9 @@ func (c Config) buildFor(ds *data.Dataset, rng *xrand.RNG) (Classifier, *builtMo
 	// chunk (DESIGN.md §10). With pooling disabled the arena is inert and
 	// allocation behaviour is exactly the historical per-call path.
 	nn.InstallArena(net, tensor.NewArena())
+	// No training loop reads the gradient with respect to the raw input,
+	// so the first conv layer skips computing it (DESIGN.md §10).
+	net.SkipInputGrad()
 	bm := &builtModel{net: net, cfg: resolved, classes: ds.NumClasses,
 		inC: ds.Channels(), inH: ds.Height(), inW: ds.Width()}
 	return bm, bm, nil

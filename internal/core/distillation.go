@@ -55,6 +55,9 @@ func (k KnowledgeDistillation) Train(cfg Config, ts TrainSet, rng *xrand.RNG) (C
 	if err != nil {
 		return nil, err
 	}
+	// Only the student outlives Train: the teacher's arena goes back to
+	// the pool for whatever trains next.
+	defer ReleaseArenas(teacher)
 	if err := trainLoop(teacher.net, ts.Data, loss.CrossEntropy{}, cfg, rng.Split("teacher-train"), nil, nil); err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 
 	"tdfm/internal/data"
 	"tdfm/internal/loss"
+	"tdfm/internal/models"
 	"tdfm/internal/nn"
 	"tdfm/internal/tensor"
 	"tdfm/internal/xrand"
@@ -157,5 +158,24 @@ func TestLabelSmoothingClassicVariant(t *testing.T) {
 	a2 := Accuracy(c2, test)
 	if a1 < 0.5 || a2 < 0.5 {
 		t.Fatalf("smoothing variants failed to learn: %.2f / %.2f", a1, a2)
+	}
+}
+
+// TestBuildForSkipsInputGrad checks that every study architecture starts
+// with a Conv2D that buildFor marks, so a training step computes no
+// gradient with respect to the raw input.
+func TestBuildForSkipsInputGrad(t *testing.T) {
+	train, _ := tinySet(t)
+	for _, arch := range models.StudyModels() {
+		_, bm, err := Config{Arch: arch}.buildFor(train, xrand.New(31))
+		if err != nil {
+			t.Fatalf("%s: %v", arch, err)
+		}
+		bx := train.X.SliceRows(0, 4)
+		logits := bm.net.Forward(bx, true)
+		if dx := bm.net.Backward(tensor.NewLike(logits)); dx != nil {
+			t.Errorf("%s: Backward returned an input gradient %v", arch, dx.Shape())
+		}
+		ReleaseArenas(bm)
 	}
 }

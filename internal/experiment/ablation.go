@@ -57,6 +57,7 @@ func (r *Runner) measureCustom(ds string, tech core.Technique, label, arch strin
 			return metrics.Summary{}, fmt.Errorf("experiment: ablation %s: %w", label, err)
 		}
 		ads = append(ads, metrics.AccuracyDelta(golden, clf.Predict(test.X), test.Labels))
+		core.ReleaseArenas(clf)
 	}
 	return metrics.Summarize(ads), nil
 }

@@ -475,6 +475,10 @@ func (r *Runner) trainCell(key, ds, tech, arch string, specs []FaultSpec, rep in
 	}
 	dur = time.Since(start) //tdfm:allow nodeterminism training duration is a reported measurement, not part of any result
 	pred = clf.Predict(test.X)
+	// Only the predictions outlive the cell: return the classifier's
+	// arenas to the pool so the next cell reuses them instead of zeroing
+	// fresh spans.
+	core.ReleaseArenas(clf)
 
 	if r.Progress != nil {
 		// Serialize concurrent cells' progress lines through the cache mutex.

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 
 	"tdfm/internal/tensor"
 	"tdfm/internal/xrand"
@@ -21,15 +22,20 @@ var _ Layer = (*ReLU)(nil)
 // NewReLU returns a ReLU activation layer.
 func NewReLU() *ReLU { return &ReLU{} }
 
-// Forward zeroes negative elements.
+// Forward zeroes non-positive elements. It selects by mask, not by
+// branch: the element's bits survive unless v <= 0, else +0. That keeps
+// −0 → +0 and every NaN bit for bit, sign included (Go's max(v, 0) would
+// turn the negative default NaN of x86 arithmetic into a positive one).
 func (r *ReLU) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
-	out := r.allocLike(x)
-	od := out.Data()
-	copy(od, x.Data())
-	for i, v := range od {
-		if v <= 0 {
-			od[i] = 0
+	out := r.uninitLike(x)
+	xd := x.Data()
+	od := out.Data()[:len(xd)]
+	for i, v := range xd {
+		var keep uint64
+		if !(v <= 0) {
+			keep = ^uint64(0)
 		}
+		od[i] = math.Float64frombits(math.Float64bits(v) & keep)
 	}
 	if training {
 		r.out = out
@@ -42,12 +48,16 @@ func (r *ReLU) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	if r.out == nil {
 		panic("nn: ReLU Backward before training Forward")
 	}
-	dx := r.allocLike(dout)
-	dxd, dod, od := dx.Data(), dout.Data(), r.out.Data()
-	for i := range dxd {
+	dx := r.uninitLike(dout)
+	dod := dout.Data()
+	dxd, od := dx.Data()[:len(dod)], r.out.Data()[:len(dod)]
+	for i, g := range dod {
+		// The same mask select: g where the output was positive, else +0.
+		var keep uint64
 		if od[i] > 0 {
-			dxd[i] = dod[i]
+			keep = ^uint64(0)
 		}
+		dxd[i] = math.Float64frombits(math.Float64bits(g) & keep)
 	}
 	return dx
 }

@@ -59,7 +59,7 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: BatchNorm2D %s expects [N,%d,H,W], got %v", b.gamma.Name, b.ch, x.Shape()))
 	}
 	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
-	out := b.alloc(n, b.ch, h, w)
+	out := b.uninit(n, b.ch, h, w)
 	xd, od := x.Data(), out.Data()
 	gd, bd := b.gamma.W.Data(), b.beta.W.Data()
 	plane := h * w
@@ -80,7 +80,7 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
 		return out
 	}
 
-	xhat := b.alloc(n, b.ch, h, w)
+	xhat := b.uninit(n, b.ch, h, w)
 	xh := xhat.Data()
 	invStds := b.allocBuf(b.ch)
 	for ch := 0; ch < b.ch; ch++ {
@@ -127,7 +127,7 @@ func (b *BatchNorm2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	n, h, w := b.n, b.h, b.w
 	plane := h * w
 	cnt := float64(n * plane)
-	dx := b.alloc(n, b.ch, h, w)
+	dx := b.uninit(n, b.ch, h, w)
 	dxd, dod, xh := dx.Data(), dout.Data(), b.xhat.Data()
 	gg, gb := b.gamma.Grad.Data(), b.beta.Grad.Data()
 	gd := b.gamma.W.Data()

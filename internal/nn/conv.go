@@ -17,6 +17,9 @@ type Conv2D struct {
 
 	inC, outC int
 	geom      tensor.ConvGeom
+	// skipDX makes Backward return nil instead of the input gradient
+	// (set by Sequential.SkipInputGrad on a network's first layer).
+	skipDX bool
 
 	// Backward caches.
 	cols      *tensor.Tensor
@@ -55,24 +58,28 @@ func (c *Conv2D) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
 	}
 	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
 	oh, ow := c.geom.OutSize(h, w)
-	cols := tensor.Im2ColInto(c.alloc(n*oh*ow, c.inC*c.geom.KH*c.geom.KW), x, c.geom)
+	cols := tensor.Im2ColInto(c.uninit(n*oh*ow, c.inC*c.geom.KH*c.geom.KW), x, c.geom)
 	rows := cols.MatMulInto(c.alloc(n*oh*ow, c.outC), c.w.W)
 	rows.AddRowVectorIn(c.b.W)
 	if training {
 		c.cols, c.n, c.h, c.wIn, c.oh, c.ow = cols, n, h, w, oh, ow
 	}
-	return tensor.RowsToNCHWInto(c.alloc(n, c.outC, oh, ow), rows)
+	return tensor.RowsToNCHWInto(c.uninit(n, c.outC, oh, ow), rows)
 }
 
-// Backward accumulates weight/bias gradients and returns the input gradient.
+// Backward accumulates weight/bias gradients and returns the input
+// gradient, or nil once SkipInputGrad has marked the layer.
 func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	if c.cols == nil {
 		panic("nn: Conv2D Backward before training Forward")
 	}
-	doutRows := tensor.NCHWToRowsInto(c.alloc(c.n*c.oh*c.ow, c.outC), dout) // [N*OH*OW, outC]
+	doutRows := tensor.NCHWToRowsInto(c.uninit(c.n*c.oh*c.ow, c.outC), dout) // [N*OH*OW, outC]
 	c.w.Grad.AddIn(c.cols.MatMulTransAInto(c.alloc(c.inC*c.geom.KH*c.geom.KW, c.outC), doutRows))
 	c.b.Grad.AddIn(doutRows.SumRowsInto(c.alloc(c.outC)))
-	dcols := doutRows.MatMulTransBInto(c.alloc(c.n*c.oh*c.ow, c.inC*c.geom.KH*c.geom.KW), c.w.W)
+	if c.skipDX {
+		return nil
+	}
+	dcols := doutRows.MatMulTransBInto(c.uninit(c.n*c.oh*c.ow, c.inC*c.geom.KH*c.geom.KW), c.w.W)
 	return tensor.Col2ImInto(c.alloc(c.n, c.inC, c.h, c.wIn), dcols, c.geom)
 }
 

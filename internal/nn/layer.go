@@ -42,8 +42,10 @@ func (p *Param) ZeroGrad() { p.Grad.Zero() }
 // layer allocates comes from the arena and is recycled wholesale by the
 // owner's Arena.Reset at batch/chunk boundaries; without one, alloc is
 // plain tensor.New and behaviour is exactly the historical
-// allocate-per-call path. Buffers are zero-filled either way, so the two
-// modes are byte-identical.
+// allocate-per-call path. alloc buffers are zero-filled either way;
+// uninit buffers are zero-filled without an arena and hold stale data
+// with one, so they go only to kernels that write every element before
+// reading any. The two modes are byte-identical.
 type arenaHolder struct {
 	arena *tensor.Arena
 }
@@ -69,6 +71,24 @@ func (h *arenaHolder) allocLike(x *tensor.Tensor) *tensor.Tensor {
 	return tensor.NewLike(x)
 }
 
+// uninit returns a tensor whose every element the caller overwrites
+// before reading any: an overwrite-only arena handout when an arena is
+// installed, else a fresh tensor.
+func (h *arenaHolder) uninit(shape ...int) *tensor.Tensor {
+	if h.arena != nil {
+		return h.arena.Uninit(shape...)
+	}
+	return tensor.New(shape...)
+}
+
+// uninitLike is uninit with x's shape, without the shape copy.
+func (h *arenaHolder) uninitLike(x *tensor.Tensor) *tensor.Tensor {
+	if h.arena != nil {
+		return h.arena.UninitLike(x)
+	}
+	return tensor.NewLike(x)
+}
+
 // allocBuf returns a zero-filled []float64 from the arena when one is
 // installed, else a fresh slice.
 func (h *arenaHolder) allocBuf(n int) []float64 {
@@ -90,7 +110,8 @@ type arenaUser interface {
 // resets after each optimizer step, the inference path after each
 // predicted chunk (DESIGN.md §10). Pass nil to detach the network from its
 // arena. Installing an arena does not change any numeric result — arena
-// buffers are zero-filled exactly like fresh ones.
+// buffers are zero-filled exactly like fresh ones, except where the
+// consuming kernel overwrites every element anyway.
 func InstallArena(l Layer, a *tensor.Arena) {
 	Walk(l, func(layer Layer) {
 		if u, ok := layer.(arenaUser); ok {
@@ -154,6 +175,20 @@ func (s *Sequential) Backward(dout *tensor.Tensor) *tensor.Tensor {
 		dout = s.layers[i].Backward(dout)
 	}
 	return dout
+}
+
+// SkipInputGrad declares that the caller never reads the input gradient
+// Backward returns, as the training loops do not. If the first layer is a
+// Conv2D it then stops computing that gradient — a transposed product
+// and a col2im scatter over the whole batch that nothing consumes — and
+// Backward returns nil; parameter gradients are unchanged.
+func (s *Sequential) SkipInputGrad() {
+	if len(s.layers) == 0 {
+		return
+	}
+	if c, ok := s.layers[0].(*Conv2D); ok {
+		c.skipDX = true
+	}
 }
 
 // Params returns all trainable parameters in layer order.

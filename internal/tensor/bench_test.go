@@ -237,6 +237,58 @@ func benchGemm(b *testing.B, s gemmBenchShape, avx2 bool) {
 	}
 }
 
+// convBenchShape is one conv layer of the convnet training step (tiny
+// scale, batch 32, 3×12×12 input): its [N, C, H, W] input, under
+// convBenchGeom's 3×3, stride-1, same-padded kernel.
+type convBenchShape struct {
+	layer      string
+	n, c, h, w int
+}
+
+// convBenchShapes are convnet's conv1–conv3 at their training shapes.
+var convBenchShapes = []convBenchShape{
+	{"conv1", 32, 3, 12, 12},
+	{"conv2", 32, 8, 6, 6},
+	{"conv3", 32, 16, 3, 3},
+}
+
+// colsLen is the element count of the shape's im2col matrix.
+func (s convBenchShape) colsLen() int {
+	oh, ow := convBenchGeom.OutSize(s.h, s.w)
+	return s.n * oh * ow * s.c * convBenchGeom.KH * convBenchGeom.KW
+}
+
+// benchIm2Col times one im2col (or, with back set, one col2im) at the
+// shape serially. Both write into a reused destination: im2col
+// overwrites it, col2im accumulates into it, as in a training step.
+func benchIm2Col(b *testing.B, s convBenchShape, back bool) {
+	SetParallelism(1)
+	defer SetParallelism(0)
+	rng := xrand.New(5).Split("im2col-bench")
+	g := convBenchGeom
+	x := make([]float64, s.n*s.c*s.h*s.w)
+	cols := make([]float64, s.colsLen())
+	rng.FillNormal(x, 0, 1)
+	rng.FillNormal(cols, 0, 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if back {
+			col2imKernel(x, cols, s.n, s.c, s.h, s.w, g)
+		} else {
+			im2colKernel(cols, x, s.n, s.c, s.h, s.w, g)
+		}
+	}
+}
+
+// BenchmarkIm2Col times im2col and col2im at the convnet training
+// shapes.
+func BenchmarkIm2Col(b *testing.B) {
+	for _, s := range convBenchShapes {
+		b.Run("im2col/"+s.layer, func(b *testing.B) { benchIm2Col(b, s, false) })
+		b.Run("col2im/"+s.layer, func(b *testing.B) { benchIm2Col(b, s, true) })
+	}
+}
+
 // BenchmarkGemm compares the three products with the AVX2 row kernel on
 // and off at the convnet training shapes.
 func BenchmarkGemm(b *testing.B) {
@@ -408,6 +460,14 @@ func TestEmitTensorBenchJSON(t *testing.T) {
 			f.Benchmarks = append(f.Benchmarks, generic, avx2)
 			f.Speedups[fmt.Sprintf("gemm_avx2_vs_generic_%s_%s", s.op, s.layer)] = generic.NsPerRow / avx2.NsPerRow
 		}
+	}
+
+	// im2col/col2im rows: serial, at the convnet training shapes. A row's
+	// "rows" are the elements of the column matrix.
+	for _, s := range convBenchShapes {
+		f.Benchmarks = append(f.Benchmarks,
+			measureRows("im2col/"+s.layer, s.colsLen(), func(b *testing.B) { benchIm2Col(b, s, false) }),
+			measureRows("col2im/"+s.layer, s.colsLen(), func(b *testing.B) { benchIm2Col(b, s, true) }))
 	}
 
 	if err := writeBenchFile(out, f); err != nil {

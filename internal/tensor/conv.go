@@ -52,11 +52,12 @@ func Im2Col(x *Tensor, g ConvGeom) *Tensor {
 	return cols
 }
 
-// Im2ColInto is Im2Col with caller-owned output storage: dst must be a
-// zero-filled [N*OH*OW, C*KH*KW] tensor (as returned by New, NewPooled, or
-// Arena.Tensor — padded positions rely on the zeros). It returns dst and
-// panics on a non-[N,C,H,W] input, degenerate geometry, or a destination
-// of the wrong shape.
+// Im2ColInto is Im2Col with caller-owned output storage: dst must be an
+// [N*OH*OW, C*KH*KW] tensor, whose every element is overwritten (padded
+// positions with zeros), so its prior contents do not matter and an
+// Arena.Uninit handout will do. It returns dst and panics on a
+// non-[N,C,H,W] input, degenerate geometry, or a destination of the
+// wrong shape.
 func Im2ColInto(dst, x *Tensor, g ConvGeom) *Tensor {
 	if x.Dims() != 4 {
 		panic(fmt.Sprintf("tensor: Im2Col needs [N,C,H,W], got %v", x.Shape()))

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -139,4 +140,101 @@ func TestConvGeomValidatePanicsOnEmptyOutput(t *testing.T) {
 		}
 	}()
 	ConvGeom{KH: 9, KW: 9, StrideH: 1, StrideW: 1}.Validate(3, 3)
+}
+
+// refIm2Col and refCol2Im are the kernels as first written: one bounds
+// test per kernel column, and im2col leaving padded positions untouched
+// in a zero-filled destination.
+func refIm2Col(dst, x []float64, n, c, h, w int, g ConvGeom) {
+	oh, ow := g.OutSize(h, w)
+	colStride := c * g.KH * g.KW
+	for img := 0; img < n; img++ {
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				row := ((img*oh+oy)*ow + ox) * colStride
+				for ch := 0; ch < c; ch++ {
+					for ky := 0; ky < g.KH; ky++ {
+						iy := oy*g.StrideH - g.PadH + ky
+						for kx := 0; kx < g.KW; kx++ {
+							ix := ox*g.StrideW - g.PadW + kx
+							if iy < 0 || iy >= h || ix < 0 || ix >= w {
+								continue
+							}
+							dst[row+(ch*g.KH+ky)*g.KW+kx] = x[((img*c+ch)*h+iy)*w+ix]
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func refCol2Im(dst, cols []float64, n, c, h, w int, g ConvGeom) {
+	oh, ow := g.OutSize(h, w)
+	colStride := c * g.KH * g.KW
+	for img := 0; img < n; img++ {
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				row := ((img*oh+oy)*ow + ox) * colStride
+				for ch := 0; ch < c; ch++ {
+					for ky := 0; ky < g.KH; ky++ {
+						iy := oy*g.StrideH - g.PadH + ky
+						for kx := 0; kx < g.KW; kx++ {
+							ix := ox*g.StrideW - g.PadW + kx
+							if iy < 0 || iy >= h || ix < 0 || ix >= w {
+								continue
+							}
+							dst[((img*c+ch)*h+iy)*w+ix] += cols[row+(ch*g.KH+ky)*g.KW+kx]
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestIm2ColCol2ImMatchReference checks the windowed kernels bit for bit
+// against the reference loops, including padding as wide as the kernel
+// and non-square strides. im2col writes into a NaN-filled destination,
+// so a padded position it failed to zero would show.
+func TestIm2ColCol2ImMatchReference(t *testing.T) {
+	rng := xrand.New(31)
+	geoms := []ConvGeom{
+		{KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1},
+		{KH: 3, KW: 3, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1},
+		{KH: 5, KW: 5, StrideH: 1, StrideW: 1, PadH: 2, PadW: 2},
+		{KH: 3, KW: 3, StrideH: 2, StrideW: 1, PadH: 0, PadW: 0},
+		{KH: 1, KW: 1, StrideH: 1, StrideW: 1, PadH: 2, PadW: 2},
+		{KH: 2, KW: 3, StrideH: 1, StrideW: 3, PadH: 3, PadW: 4},
+		{KH: 1, KW: 3, StrideH: 1, StrideW: 1, PadH: 0, PadW: 4},
+	}
+	const n, c, h, w = 3, 2, 5, 6
+	for _, g := range geoms {
+		oh, ow := g.OutSize(h, w)
+		x := make([]float64, n*c*h*w)
+		rng.FillNormal(x, 0, 1)
+		want := make([]float64, n*oh*ow*c*g.KH*g.KW)
+		refIm2Col(want, x, n, c, h, w, g)
+		got := make([]float64, len(want))
+		for i := range got {
+			got[i] = math.NaN()
+		}
+		im2colKernel(got, x, n, c, h, w, g)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%+v: im2col[%d] = %v, want %v", g, i, got[i], want[i])
+			}
+		}
+
+		cols := make([]float64, len(want))
+		rng.FillNormal(cols, 0, 1)
+		wantX, gotX := make([]float64, len(x)), make([]float64, len(x))
+		refCol2Im(wantX, cols, n, c, h, w, g)
+		col2imKernel(gotX, cols, n, c, h, w, g)
+		for i := range wantX {
+			if math.Float64bits(gotX[i]) != math.Float64bits(wantX[i]) {
+				t.Fatalf("%+v: col2im[%d] = %v, want %v", g, i, gotX[i], wantX[i])
+			}
+		}
+	}
 }

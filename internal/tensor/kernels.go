@@ -27,9 +27,12 @@ import "tdfm/internal/parallel"
 // closure allocation, which keeps the training loop's steady-state
 // allocation count flat.
 //
-// Kernels that accumulate (gemm, gemmTransA, col2im) or rely on implicit
-// zero padding (im2col) require a zero-filled destination, exactly what
-// New, NewPooled, GetBuf, and the Arena allocators return.
+// Kernels that accumulate (gemm, gemmTransA, col2im, sumRows) require a
+// zero-filled destination, exactly what New, NewPooled, GetBuf, and the
+// zeroing Arena handouts return. The others (gemmTransB, im2col, the two
+// layout conversions) overwrite every destination element, padding
+// zeros included, so they may also take an overwrite-only Arena.Uninit
+// handout (DESIGN.md §10).
 
 // element constrains the storage scalar types the kernels support.
 type element interface {
@@ -162,30 +165,58 @@ func gemmTransB[E element](dst, a, b []E, m, k, n int) {
 	gemmTransBRange(dst, a, b, k, n, 0, m)
 }
 
-// im2colRange unrolls the image window [imgLo, imgHi).
+// kxWindow returns the kernel columns [lo, hi) whose input column
+// ix0+kx lies inside a row of width w; lo == hi when none does.
+func kxWindow(ix0, kw, w int) (lo, hi int) {
+	lo = min(max(0, -ix0), kw)
+	return lo, max(lo, min(kw, w-ix0))
+}
+
+// im2colRange unrolls the image window [imgLo, imgHi), writing every
+// element of those rows: padded positions get explicit zeros. The valid
+// kernel columns are found once per output position, so the copy of an
+// interior window row carries no per-element bounds test.
 func im2colRange[E element](dst, x []E, c, h, w, oh, ow, colStride int, g ConvGeom, imgLo, imgHi int) {
+	kh, kw := g.KH, g.KW
 	for img := imgLo; img < imgHi; img++ {
 		base := img * c * h * w
 		for oy := 0; oy < oh; oy++ {
 			iy0 := oy*g.StrideH - g.PadH
 			for ox := 0; ox < ow; ox++ {
 				ix0 := ox*g.StrideW - g.PadW
+				lo, hi := kxWindow(ix0, kw, w)
 				row := ((img*oh+oy)*ow + ox) * colStride
+				d := dst[row : row+colStride]
+				off := 0
 				for ch := 0; ch < c; ch++ {
 					chBase := base + ch*h*w
-					for ky := 0; ky < g.KH; ky++ {
+					for ky := 0; ky < kh; ky++ {
+						seg := d[off : off+kw]
+						off += kw
 						iy := iy0 + ky
-						dstOff := row + (ch*g.KH+ky)*g.KW
-						if iy < 0 || iy >= h {
-							continue // leave zeros
-						}
-						src := chBase + iy*w
-						for kx := 0; kx < g.KW; kx++ {
-							ix := ix0 + kx
-							if ix < 0 || ix >= w {
-								continue
+						src := chBase + iy*w + ix0
+						switch {
+						case iy < 0 || iy >= h || lo == hi:
+							clear(seg)
+						case lo == 0 && hi == kw && kw == 3:
+							// The model zoo's common case, unrolled.
+							s := x[src : src+3 : src+3]
+							seg = seg[:3]
+							seg[0], seg[1], seg[2] = s[0], s[1], s[2]
+						default:
+							// Plain loops: clear and copy would call the
+							// runtime for each short piece, which
+							// BenchmarkIm2Col puts at 15–40% slower.
+							for i := 0; i < lo; i++ {
+								seg[i] = 0
 							}
-							dst[dstOff+kx] = x[src+ix]
+							in := seg[lo:hi]
+							for i, v := range x[src+lo : src+lo+len(in)] {
+								in[i] = v
+							}
+							for i := hi; i < kw; i++ {
+								seg[i] = 0
+							}
 						}
 					}
 				}
@@ -195,8 +226,8 @@ func im2colRange[E element](dst, x []E, c, h, w, oh, ow, colStride int, g ConvGe
 }
 
 // im2colKernel unrolls x [n,c,h,w] into receptive-field rows
-// [n*oh*ow, c*KH*KW], sharded by image. dst must be zero-filled: padded
-// positions are simply left untouched.
+// [n*oh*ow, c*KH*KW], sharded by image. Every destination element is
+// overwritten, padded positions with zeros.
 func im2colKernel[E element](dst, x []E, n, c, h, w int, g ConvGeom) {
 	oh, ow := g.OutSize(h, w)
 	colStride := c * g.KH * g.KW
@@ -209,30 +240,37 @@ func im2colKernel[E element](dst, x []E, n, c, h, w int, g ConvGeom) {
 	im2colRange(dst, x, c, h, w, oh, ow, colStride, g, 0, n)
 }
 
-// col2imRange scatters the image window [imgLo, imgHi).
+// col2imRange scatters the image window [imgLo, imgHi). Each destination
+// element receives its additions in the same (oy, ox, ch, ky, kx) order
+// as a loop over every kernel column that skips the out-of-range ones.
 func col2imRange[E element](dst, cols []E, c, h, w, oh, ow, colStride int, g ConvGeom, imgLo, imgHi int) {
+	kh, kw := g.KH, g.KW
 	for img := imgLo; img < imgHi; img++ {
 		base := img * c * h * w
 		for oy := 0; oy < oh; oy++ {
 			iy0 := oy*g.StrideH - g.PadH
 			for ox := 0; ox < ow; ox++ {
 				ix0 := ox*g.StrideW - g.PadW
+				lo, hi := kxWindow(ix0, kw, w)
+				if lo == hi {
+					continue
+				}
 				row := ((img*oh+oy)*ow + ox) * colStride
+				r := cols[row : row+colStride]
+				off := 0
 				for ch := 0; ch < c; ch++ {
 					chBase := base + ch*h*w
-					for ky := 0; ky < g.KH; ky++ {
+					for ky := 0; ky < kh; ky++ {
+						seg := r[off+lo : off+hi]
+						off += kw
 						iy := iy0 + ky
 						if iy < 0 || iy >= h {
 							continue
 						}
-						src := row + (ch*g.KH+ky)*g.KW
-						dstOff := chBase + iy*w
-						for kx := 0; kx < g.KW; kx++ {
-							ix := ix0 + kx
-							if ix < 0 || ix >= w {
-								continue
-							}
-							dst[dstOff+ix] += cols[src+kx]
+						out := dst[chBase+iy*w+ix0+lo:]
+						out = out[:len(seg)]
+						for i, v := range seg {
+							out[i] += v
 						}
 					}
 				}

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"os"
 	"strings"
@@ -22,7 +23,9 @@ import (
 //   - Arena: a per-network freelist for the training loop and inference
 //     path. Arena allocations are recycled wholesale by Reset at safe
 //     points (end of a training batch, end of an inference chunk) instead
-//     of being returned individually.
+//     of being returned individually. Tensor and Buf hand out zero-filled
+//     storage like GetBuf; Uninit skips the clear, for kernels that
+//     overwrite every element.
 //
 // Pooling is on by default and can be disabled with TDFM_POOL=off (or via
 // SetPooling in tests); with pooling off every allocation falls through to
@@ -35,7 +38,8 @@ import (
 const numBuckets = 34
 
 var (
-	poolEnabled atomic.Bool
+	poolEnabled  atomic.Bool
+	poisonUninit atomic.Bool
 
 	pool64 [numBuckets]sync.Pool
 	pool32 [numBuckets]sync.Pool
@@ -73,6 +77,14 @@ func poolDisabledByEnv(v string) bool {
 // pooling off has no bucket capacity and must never reach PutBuf with
 // pooling back on.
 func SetPooling(on bool) { poolEnabled.Store(on) }
+
+// SetUninitPoison makes every overwrite-only arena handout (Arena.Uninit
+// and UninitLike, with pooling on) arrive filled with NaN instead of
+// whatever its last user left there. Like SetPooling it exists for the
+// byte-identity property tests: a kernel that fails to write an element
+// of such a handout then turns the result into NaN instead of silently
+// reusing stale data. Off by default.
+func SetUninitPoison(on bool) { poisonUninit.Store(on) }
 
 // PoolingEnabled reports whether buffer pooling is active.
 func PoolingEnabled() bool { return poolEnabled.Load() }
@@ -119,10 +131,12 @@ func bucketIndex(n int) int {
 	return bits.Len(uint(n - 1))
 }
 
-// getPooled serves a zero-filled slice of length n from the bucketed pool,
-// falling back to make. Generic over the two storage element types so the
-// float64 and float32 pools share one implementation.
-func getPooled[E element](pools *[numBuckets]sync.Pool, boxes *sync.Pool, n int) []E {
+// getPooled serves a slice of length n from the bucketed pool, falling
+// back to make. A recycled buffer is cleared only when zero is set; a
+// fresh one is zero-filled either way. Generic over the two storage
+// element types so the float64 and float32 pools share one
+// implementation.
+func getPooled[E element](pools *[numBuckets]sync.Pool, boxes *sync.Pool, n int, zero bool) []E {
 	if n < 0 {
 		panic(fmt.Sprintf("tensor: GetBuf of negative size %d", n))
 	}
@@ -138,7 +152,9 @@ func getPooled[E element](pools *[numBuckets]sync.Pool, boxes *sync.Pool, n int)
 			*bp = nil
 			boxes.Put(bp)
 			buf := s[:n]
-			clear(buf)
+			if zero {
+				clear(buf)
+			}
 			poolHits.Add(1)
 			poolBytes.Add(uint64(n) * uint64(elemBytes(elem)))
 			return buf
@@ -193,7 +209,7 @@ func putPooled[E element](pools *[numBuckets]sync.Pool, boxes *sync.Pool, buf []
 // pooled and unpooled runs produce byte-identical numerics. Pass the
 // buffer to PutBuf when its lifetime ends, or simply drop it (the GC
 // reclaims unreturned buffers; the pool never leaks them into live data).
-func GetBuf(n int) []float64 { return getPooled[float64](&pool64, &boxes64, n) }
+func GetBuf(n int) []float64 { return getPooled[float64](&pool64, &boxes64, n, true) }
 
 // PutBuf returns a buffer obtained from GetBuf to the pool. It panics if
 // buf did not come from GetBuf (detected by a capacity that is not a pool
@@ -203,7 +219,7 @@ func GetBuf(n int) []float64 { return getPooled[float64](&pool64, &boxes64, n) }
 func PutBuf(buf []float64) { putPooled(&pool64, &boxes64, buf) }
 
 // GetBuf32 is GetBuf for float32 storage (the inference precision mode).
-func GetBuf32(n int) []float32 { return getPooled[float32](&pool32, &boxes32, n) }
+func GetBuf32(n int) []float32 { return getPooled[float32](&pool32, &boxes32, n, true) }
 
 // PutBuf32 is PutBuf for float32 buffers, with the same foreign-buffer
 // panic contract.
@@ -248,8 +264,7 @@ func (t *Tensor) Release() {
 // An Arena is not safe for concurrent use — it serves a single network,
 // and networks already require external serialization (see package nn).
 // Arena-backed tensors must never be individually Released, and callers
-// must not retain them across a Reset: the storage is rezeroed and handed
-// out again.
+// must not retain them across a Reset: the storage is handed out again.
 type Arena struct {
 	free64 [numBuckets][][]float64
 	live64 [numBuckets][][]float64
@@ -268,11 +283,12 @@ type Arena struct {
 // NewArena returns an empty arena.
 func NewArena() *Arena { return &Arena{} }
 
-// arenaGet hands out a zero-filled length-n slice from the arena freelist,
-// falling back to the global pool; the buffer is tracked as live until the
-// next Reset. With pooling disabled it degrades to plain make and tracks
-// nothing, restoring the reference allocation behaviour.
-func arenaGet[E element](free, live *[numBuckets][][]E, pools *[numBuckets]sync.Pool, boxes *sync.Pool, n int) []E {
+// arenaGet hands out a length-n slice from the arena freelist, falling
+// back to the global pool; the buffer is tracked as live until the next
+// Reset. A recycled buffer is cleared only when zero is set. With pooling
+// disabled it degrades to plain make and tracks nothing, restoring the
+// reference allocation behaviour.
+func arenaGet[E element](free, live *[numBuckets][][]E, pools *[numBuckets]sync.Pool, boxes *sync.Pool, n int, zero bool) []E {
 	if !poolEnabled.Load() {
 		poolMisses.Add(1)
 		return make([]E, n)
@@ -281,38 +297,48 @@ func arenaGet[E element](free, live *[numBuckets][][]E, pools *[numBuckets]sync.
 	if b >= numBuckets {
 		panic(fmt.Sprintf("tensor: arena allocation of %d elements exceeds the largest pool bucket", n))
 	}
+	var buf []E
 	if l := len(free[b]); l > 0 {
-		buf := free[b][l-1]
+		buf = free[b][l-1][:n]
 		free[b] = free[b][:l-1]
-		buf = buf[:n]
-		clear(buf)
+		if zero {
+			clear(buf)
+		}
 		var elem E
 		poolHits.Add(1)
 		poolBytes.Add(uint64(n) * uint64(elemBytes(elem)))
-		live[b] = append(live[b], buf[:cap(buf)])
-		return buf
+	} else {
+		buf = getPooled[E](pools, boxes, n, zero)
 	}
-	buf := getPooled[E](pools, boxes, n)
 	live[b] = append(live[b], buf[:cap(buf)])
+	if !zero && poisonUninit.Load() {
+		poison(buf)
+	}
 	return buf
+}
+
+// poison fills buf with NaN (SetUninitPoison).
+func poison[E element](buf []E) {
+	nan := E(math.NaN())
+	for i := range buf {
+		buf[i] = nan
+	}
 }
 
 // Buf returns a zero-filled []float64 of length n owned by the arena
 // (reclaimed at the next Reset, like Tensor).
 func (a *Arena) Buf(n int) []float64 {
-	return arenaGet(&a.free64, &a.live64, &pool64, &boxes64, n)
+	return arenaGet(&a.free64, &a.live64, &pool64, &boxes64, n, true)
 }
 
 // Buf32 is Buf for float32 storage.
 func (a *Arena) Buf32(n int) []float32 {
-	return arenaGet(&a.free32, &a.live32, &pool32, &boxes32, n)
+	return arenaGet(&a.free32, &a.live32, &pool32, &boxes32, n, true)
 }
 
-// Tensor returns a zero-filled tensor of the given shape backed by arena
-// storage. It is semantically identical to New; the storage is reclaimed
-// at the next Reset, so the result must not outlive it (copy anything that
-// escapes, e.g. with Clone).
-func (a *Arena) Tensor(shape ...int) *Tensor {
+// tensor wraps arena storage of the given shape in a recycled Tensor
+// header; zero selects the zero-filled or the overwrite-only handout.
+func (a *Arena) tensor(shape []int, zero bool) *Tensor {
 	n := checkShape(shape)
 	if !poolEnabled.Load() {
 		return New(shape...)
@@ -325,17 +351,34 @@ func (a *Arena) Tensor(shape ...int) *Tensor {
 	} else {
 		t = &Tensor{shape: append([]int(nil), shape...)}
 	}
-	t.data = a.Buf(n)
+	t.data = arenaGet(&a.free64, &a.live64, &pool64, &boxes64, n, zero)
 	a.liveT = append(a.liveT, t)
 	return t
 }
 
+// Tensor returns a zero-filled tensor of the given shape backed by arena
+// storage. It is semantically identical to New; the storage is reclaimed
+// at the next Reset, so the result must not outlive it (copy anything that
+// escapes, e.g. with Clone).
+func (a *Arena) Tensor(shape ...int) *Tensor { return a.tensor(shape, true) }
+
 // TensorLike returns a zero-filled arena tensor with x's shape, without
 // the intermediate shape copy an x.Shape() spread would allocate. Same
 // lifetime contract as Tensor.
-func (a *Arena) TensorLike(x *Tensor) *Tensor {
-	return a.Tensor(x.shape...)
-}
+func (a *Arena) TensorLike(x *Tensor) *Tensor { return a.tensor(x.shape, true) }
+
+// Uninit is the overwrite-only handout: an arena tensor of the given
+// shape whose recycled storage is not cleared, so its contents are
+// unspecified until written. Use it only as the destination of a kernel
+// that writes every element before anything reads it (DESIGN.md §10
+// lists them); an accumulating kernel needs Tensor. With pooling off it is
+// New, so the reference path is unchanged. Same lifetime contract as
+// Tensor.
+func (a *Arena) Uninit(shape ...int) *Tensor { return a.tensor(shape, false) }
+
+// UninitLike is Uninit with x's shape, without the shape copy (see
+// TensorLike).
+func (a *Arena) UninitLike(x *Tensor) *Tensor { return a.tensor(x.shape, false) }
 
 // F32 returns a zero-filled float32 tensor of the given shape backed by
 // arena storage, with the same lifetime contract as Tensor.
@@ -359,7 +402,7 @@ func (a *Arena) F32(shape ...int) *F32 {
 
 // Reset recycles every live arena allocation onto the freelists. All
 // tensors and buffers previously handed out become invalid: their storage
-// will be rezeroed and reissued by subsequent allocations. Callers invoke
+// will be reissued by subsequent allocations. Callers invoke
 // it at points where nothing from the previous round is referenced (after
 // an optimizer step, after an inference chunk's result has been copied
 // out).
